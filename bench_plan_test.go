@@ -152,57 +152,3 @@ func BenchmarkPlanOnly(b *testing.B) {
 		reportPlanCache(b, mgr, before)
 	})
 }
-
-// BenchmarkBatchAdmission measures journaled admission through
-// AllocateBatch at several batch widths: one snapshot, one revalidation
-// lock hold, and one WAL staged group per K admissions. Each op is one
-// admitted job (releases run untimed between rounds to hold the ledger
-// at steady state).
-func BenchmarkBatchAdmission(b *testing.B) {
-	for _, width := range []int{1, 4, 16} {
-		if testing.Short() && width != 16 {
-			continue
-		}
-		b.Run(benchName("width", width), func(b *testing.B) {
-			topo, err := topology.NewThreeTier(topology.PaperConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			mgr, err := core.NewManager(topo, 0.05)
-			if err != nil {
-				b.Fatal(err)
-			}
-			req, err := core.NewHomogeneous(4, stats.Normal{Mu: 200, Sigma: 80})
-			if err != nil {
-				b.Fatal(err)
-			}
-			reqs := make([]core.BatchRequest, width)
-			for i := range reqs {
-				reqs[i] = core.BatchRequest{Homog: &req}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			admitted := 0
-			for admitted < b.N {
-				results := mgr.AllocateBatch(reqs)
-				b.StopTimer()
-				for _, res := range results {
-					if res.Err != nil {
-						b.Fatal(res.Err)
-					}
-					admitted++
-					if err := mgr.Release(res.Alloc.ID); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(admitted)/b.Elapsed().Seconds(), "ops/s")
-			adm := mgr.AdmissionStats()
-			if adm.Batch.Count > 0 {
-				b.ReportMetric(adm.Batch.Mean(), "reqs/batch")
-			}
-		})
-	}
-}

@@ -74,7 +74,6 @@ type config struct {
 	stateDir        string
 	checkpointEvery int
 	noSync          bool
-	admission       string
 	role            string // "primary" (default) or "standby"
 	follow          string // primary base URL, required for a standby
 	shards          int    // 0: unsharded; N: one pod-local shard per aggregation subtree
@@ -120,16 +119,6 @@ func newDaemon(cfg config) (*daemon, error) {
 		return nil, fmt.Errorf("unknown policy %q", cfg.policy)
 	}
 	mgrOpts := []core.ManagerOption{policyOpt}
-	batch := false
-	switch cfg.admission {
-	case "", "optimistic": // plan outside the lock, revalidate, commit
-	case "batch": // optimistic + coalesce concurrent requests into batches
-		batch = true
-	case "locked":
-		mgrOpts = append(mgrOpts, core.WithLockedAdmission())
-	default:
-		return nil, fmt.Errorf("unknown admission mode %q", cfg.admission)
-	}
 
 	d := &daemon{serveErr: make(chan error, 1), stopTick: make(chan struct{}), cfg: cfg, follow: cfg.follow}
 	walOpts := []wal.Option{wal.WithSnapshotEvery(cfg.checkpointEvery)}
@@ -144,9 +133,6 @@ func newDaemon(cfg config) (*daemon, error) {
 		if cfg.shards > 0 {
 			if cfg.stateDir == "" {
 				return nil, errors.New("-shards needs -state-dir (each pod keeps its own write-ahead log)")
-			}
-			if batch {
-				return nil, errors.New("-shards is incompatible with -admission batch (the router already groups commits per pod)")
 			}
 			mode, merr := shard.ParseMode(cfg.shardMode)
 			if merr != nil {
@@ -176,9 +162,6 @@ func newDaemon(cfg config) (*daemon, error) {
 			}
 		}
 		d.api = httpapi.NewServer(d.mgr)
-		if batch {
-			d.api.SetBatcher(core.NewBatcher(d.mgr, 0))
-		}
 		if d.journal != nil {
 			d.wireJournal(d.mgr, d.journal)
 		}
@@ -241,17 +224,7 @@ func newDaemon(cfg config) (*daemon, error) {
 // status, the replication tail, fencing, and the status report's
 // replication section. Called at boot and again at promotion.
 func (d *daemon) wireJournal(mgr *core.Manager, j *wal.Journal) {
-	d.api.SetWALStatus(func() httpapi.WALStatus {
-		gs := j.GroupCommitStats()
-		return httpapi.WALStatus{
-			Gen:       j.Gen(),
-			Appended:  j.Appended(),
-			Batches:   gs.Batches,
-			Records:   gs.Records,
-			MaxBatch:  gs.MaxBatch,
-			MeanBatch: gs.MeanBatch,
-		}
-	})
+	d.api.SetWALStatus(func() httpapi.WALStatus { return walStatus(j) })
 	d.api.SetWALTail(replica.TailHandler(j))
 	d.api.SetFence(j.Fence)
 	d.api.SetReplication(func() *httpapi.ReplicationStatus {
@@ -268,24 +241,11 @@ func (d *daemon) wireJournal(mgr *core.Manager, j *wal.Journal) {
 // section with the per-pod layout.
 func (d *daemon) wireShards(r *shard.Router) {
 	d.api.SetWALStatus(func() httpapi.WALStatus {
-		var ws httpapi.WALStatus
-		for i := 0; i < r.Shards(); i++ {
-			j := r.PodJournal(i)
-			gs := j.GroupCommitStats()
-			ws.Appended += j.Appended()
-			ws.Batches += gs.Batches
-			ws.Records += gs.Records
-			if gs.MaxBatch > ws.MaxBatch {
-				ws.MaxBatch = gs.MaxBatch
-			}
-			if g := j.Gen(); g > ws.Gen {
-				ws.Gen = g
-			}
+		js := make([]*wal.Journal, r.Shards())
+		for i := range js {
+			js[i] = r.PodJournal(i)
 		}
-		if ws.Batches > 0 {
-			ws.MeanBatch = float64(ws.Records) / float64(ws.Batches)
-		}
-		return ws
+		return walStatus(js...)
 	})
 	d.api.SetSharding(func() *httpapi.ShardingStatus {
 		ss := &httpapi.ShardingStatus{
@@ -304,6 +264,25 @@ func (d *daemon) wireShards(r *shard.Router) {
 		}
 		return ss
 	})
+}
+
+// walStatus merges the journals' group-commit counters into the status
+// report's WAL section: counts sum, the generation and largest batch
+// are maxima, and the mean batch is records per batch over all of them.
+func walStatus(js ...*wal.Journal) httpapi.WALStatus {
+	var ws httpapi.WALStatus
+	for _, j := range js {
+		gs := j.GroupCommitStats()
+		ws.Gen = max(ws.Gen, j.Gen())
+		ws.Appended += j.Appended()
+		ws.Batches += gs.Batches
+		ws.Records += gs.Records
+		ws.MaxBatch = max(ws.MaxBatch, gs.MaxBatch)
+	}
+	if ws.Batches > 0 {
+		ws.MeanBatch = float64(ws.Records) / float64(ws.Batches)
+	}
+	return ws
 }
 
 // start begins serving and, when journaled, compacting the log in the
@@ -499,7 +478,6 @@ func run(args []string) error {
 	fs.StringVar(&cfg.stateDir, "state-dir", "", "directory for the write-ahead log and snapshots (empty: in-memory only)")
 	fs.IntVar(&cfg.checkpointEvery, "checkpoint-every", 4096, "journal records between snapshots")
 	fs.BoolVar(&cfg.noSync, "no-sync", false, "skip fsync on journal appends (faster, loses tail on power failure)")
-	fs.StringVar(&cfg.admission, "admission", "optimistic", "admission pipeline: optimistic (plan outside the lock) | batch (optimistic + coalesced batch planning) | locked (serialized)")
 	fs.StringVar(&cfg.role, "role", "primary", "primary serves writes; standby follows a primary's WAL and serves reads until promoted")
 	fs.StringVar(&cfg.follow, "follow", "", "primary base URL a standby replicates from (e.g. http://10.0.0.1:8080)")
 	fs.IntVar(&cfg.shards, "shards", 0, "shard the control plane into one ledger+WAL per aggregation subtree; must equal the topology's pod count (0: unsharded)")

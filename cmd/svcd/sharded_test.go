@@ -61,11 +61,6 @@ func TestShardedDaemonFlagValidation(t *testing.T) {
 		t.Error("unknown shard mode accepted")
 	}
 	cfg.shardMode = "strict"
-	cfg.admission = "batch"
-	if _, err := newDaemon(cfg); err == nil {
-		t.Error("-shards with -admission batch accepted")
-	}
-	cfg.admission = ""
 	cfg.role = "standby"
 	cfg.follow = "http://127.0.0.1:1"
 	if _, err := newDaemon(cfg); err == nil {

@@ -175,14 +175,14 @@ func runOne(s *scenario.Scenario, seed uint64, backend, addr string) (*scenario.
 				return nil, err
 			}
 			defer os.RemoveAll(dir)
-			cfg := scenario.LocalConfig{Topo: plan.Topo, Eps: s.Eps, Admission: s.Run.Admission}
+			cfg := scenario.LocalConfig{Topo: plan.Topo, Eps: s.Eps}
 			b, err = scenario.NewShardBackend(dir, cfg, s.Run.Shards, s.Run.ShardMode)
 			if err != nil {
 				return nil, err
 			}
 			break
 		}
-		b, err = scenario.NewSimBackend(plan.Topo, s.Eps, s.Run.Admission)
+		b, err = scenario.NewSimBackend(plan.Topo, s.Eps)
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +203,7 @@ func runOne(s *scenario.Scenario, seed uint64, backend, addr string) (*scenario.
 			}
 			defer os.RemoveAll(dir)
 			cfg := scenario.LocalConfig{
-				Topo: plan.Topo, Eps: s.Eps, Admission: s.Run.Admission, StateDir: dir,
+				Topo: plan.Topo, Eps: s.Eps, StateDir: dir,
 				Shards: s.Run.Shards, ShardMode: s.Run.ShardMode,
 			}
 			if failovers {

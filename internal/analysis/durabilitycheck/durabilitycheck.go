@@ -57,7 +57,6 @@ var MutatorNames = map[string]bool{
 	"Allocate":       true,
 	"AllocateHomog":  true,
 	"AllocateHetero": true,
-	"AllocateBatch":  true,
 	"Release":        true,
 	"FailMachine":    true,
 	"RestoreMachine": true,

@@ -154,13 +154,15 @@ type AsyncJournal interface {
 	StageCommit(Mutation) (wait func() error, err error)
 }
 
-// BatchJournal is an optional AsyncJournal extension for batch
-// admission. StageCommitBatch appends the mutations to the write queue
-// as one contiguous group under a single queue acquisition — all of
-// them land in the same group-commit batch and share one write+fsync,
-// and no concurrently flushing leader can split them across batches.
-// Staging is all-or-nothing: an error vetoes every mutation in the
-// slice. The returned wait covers all of them.
+// BatchJournal is an AsyncJournal that can also stage several
+// mutations as one contiguous group: StageCommitBatch appends them to
+// the write queue under a single queue acquisition, so all of them land
+// in the same group-commit batch and share one write+fsync, and no
+// concurrently flushing leader can split them across batches. Staging
+// is all-or-nothing: an error vetoes every mutation in the slice. The
+// returned wait covers all of them. The manager admits one request at a
+// time and never type-asserts this interface; wal.Journal implements it
+// so decorators around a journal can forward the full method set.
 type BatchJournal interface {
 	AsyncJournal
 	StageCommitBatch(muts []Mutation) (wait func() error, err error)

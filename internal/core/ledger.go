@@ -30,8 +30,8 @@ type Ledger struct {
 	// reservation or slot state inside v's subtree (including v's own
 	// uplink) changes. Ticks come from a process-global counter, so equal
 	// subVer values across any two ledgers of the same lineage — the live
-	// ledger, its snapshots, batch overlays — imply bit-identical subtree
-	// state. The plan cache keys DP records on it; see plancache.go.
+	// ledger and its snapshots — imply bit-identical subtree state. The
+	// plan cache keys DP records on it; see plancache.go.
 	// Fault state is deliberately NOT folded in: reachability depends on
 	// links above v, so caches track Faults().Epoch() separately.
 	subVer []uint64

@@ -46,10 +46,6 @@ type AdmissionStats struct {
 	PlanCacheMisses        int64 `json:"planCacheMisses"`
 	PlanCacheInvalidations int64 `json:"planCacheInvalidations"`
 	PlanCacheEvictions     int64 `json:"planCacheEvictions"`
-
-	// Batch is the distribution of batch-planned admission group sizes
-	// (AllocateBatch: Count batches, Sum requests planned in them).
-	Batch metrics.IntSummary `json:"batch"`
 }
 
 // admissionCounters is the manager's mutable form of AdmissionStats
@@ -62,7 +58,6 @@ type admissionCounters struct {
 	fallbacks   int64
 	locked      int64
 	plan        metrics.LatencySummary
-	batch       metrics.IntSummary
 }
 
 // AdmissionStats returns a snapshot of the admission pipeline counters.
@@ -76,7 +71,6 @@ func (m *Manager) AdmissionStats() AdmissionStats {
 		Fallbacks:   m.adm.fallbacks,
 		Locked:      m.adm.locked,
 		Plan:        m.adm.plan,
-		Batch:       m.adm.batch,
 	}
 	m.mu.Unlock()
 	pc := m.plans.snapshot()

@@ -199,16 +199,39 @@ func TestOptimisticStormInvariants(t *testing.T) {
 	m := newTestManager(t, mediumThreeTier(), 0.05)
 	topo := m.Topology()
 
+	// live tracks admitted jobs not yet released. A repair that cannot
+	// re-place a displaced job removes it (RepairFailed), so the repairer
+	// records those jobs in gone and drops them from live; pushJob skips
+	// a job whose repair failed before its admission was recorded.
 	var (
 		mu       sync.Mutex
 		live     []JobID
+		gone     = map[JobID]bool{}
 		admitted int64
 	)
 	pushJob := func(id JobID) {
 		mu.Lock()
-		live = append(live, id)
+		if !gone[id] {
+			live = append(live, id)
+		}
 		admitted++
 		mu.Unlock()
+	}
+	dropFailed := func(results []RepairResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, res := range results {
+			if res.Outcome != RepairFailed {
+				continue
+			}
+			gone[res.Job] = true
+			for i, id := range live {
+				if id == res.Job {
+					live = append(live[:i], live[i+1:]...)
+					break
+				}
+			}
+		}
 	}
 	popJob := func(r *rand.Rand) (JobID, bool) {
 		mu.Lock()
@@ -224,7 +247,7 @@ func TestOptimisticStormInvariants(t *testing.T) {
 
 	const (
 		allocators   = 4
-		batchers     = 2
+		grouped      = 2
 		releasers    = 2
 		opsPerWorker = 60
 	)
@@ -262,39 +285,41 @@ func TestOptimisticStormInvariants(t *testing.T) {
 		}(g)
 	}
 
-	// Batch allocators: the same request mix through AllocateBatch, so
-	// batched admissions race single admissions, releases, faults, and
-	// repairs — every commit path invalidates plan-cache entries mid-plan.
-	for g := 0; g < batchers; g++ {
+	// Grouped allocators: the same request mix in bursts of three
+	// back-to-back admissions, so bursts race single admissions,
+	// releases, faults, and repairs — every commit path invalidates
+	// plan-cache entries mid-plan.
+	for g := 0; g < grouped; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			r := stats.NewRand(uint64(3000 + g))
 			for i := 0; i < opsPerWorker/4; i++ {
-				reqs := make([]BatchRequest, 3)
-				for k := range reqs {
+				for k := 0; k < 3; k++ {
+					var (
+						a   *Allocation
+						err error
+					)
 					if (i+k)%2 == 0 {
-						req, err := NewHomogeneous(2+r.IntN(5), stats.Normal{
+						var req Homogeneous
+						req, err = NewHomogeneous(2+r.IntN(5), stats.Normal{
 							Mu: r.UniformRange(3, 10), Sigma: r.UniformRange(0.5, 3)})
 						if err != nil {
-							t.Errorf("batcher %d: %v", g, err)
+							t.Errorf("grouped allocator %d: %v", g, err)
 							return
 						}
-						reqs[k] = BatchRequest{Homog: &req}
+						a, err = m.AllocateHomog(req)
 					} else {
-						req := randHetero(r, 2+r.IntN(3), 3, 10)
-						reqs[k] = BatchRequest{Hetero: &req}
+						a, err = m.AllocateHetero(randHetero(r, 2+r.IntN(3), 3, 10))
 					}
-				}
-				for _, res := range m.AllocateBatch(reqs) {
-					if res.Err != nil {
-						if !errors.Is(res.Err, ErrNoCapacity) {
-							t.Errorf("batcher %d: %v", g, res.Err)
+					if err != nil {
+						if !errors.Is(err, ErrNoCapacity) {
+							t.Errorf("grouped allocator %d: %v", g, err)
 							return
 						}
 						continue
 					}
-					pushJob(res.Alloc.ID)
+					pushJob(a.ID)
 				}
 			}
 		}(g)
@@ -351,10 +376,12 @@ func TestOptimisticStormInvariants(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 15; i++ {
-			if _, err := m.RepairAll(); err != nil {
+			results, err := m.RepairAll()
+			if err != nil {
 				t.Errorf("RepairAll: %v", err)
 				return
 			}
+			dropFailed(results)
 		}
 	}()
 
@@ -365,9 +392,11 @@ func TestOptimisticStormInvariants(t *testing.T) {
 
 	// All faults were restored in matched pairs; one final repair pass
 	// re-places anything still displaced from the last fault window.
-	if _, err := m.RepairAll(); err != nil {
+	results, err := m.RepairAll()
+	if err != nil {
 		t.Fatalf("final RepairAll: %v", err)
 	}
+	dropFailed(results)
 	fs := m.FailureStats()
 	if fs.MachinesDown != 0 || fs.LinksDown != 0 {
 		t.Fatalf("faults not restored after storm: %+v", fs)

@@ -31,9 +31,9 @@ import (
 // depends on reachability through links above the vertex. Entries
 // stamp Faults().Epoch() and drop all records when it moves. This is
 // sound for every ledger the manager plans on (live ledger, shared
-// snapshots, batch overlays) because only the live ledger's fault
-// overlay is ever mutated; clones never diverge on fault state, so an
-// epoch value identifies one fault configuration.
+// snapshots) because only the live ledger's fault overlay is ever
+// mutated; clones never diverge on fault state, so an epoch value
+// identifies one fault configuration.
 //
 // The compute paths below mirror homogCompute/substrCompute and the
 // build/selection code operation for operation, so cached plans are

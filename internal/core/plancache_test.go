@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -262,209 +261,5 @@ func TestCanonDemand(t *testing.T) {
 		if got := canonDemand(tc.in); got != tc.want {
 			t.Errorf("canonDemand(%v) = %v, want %v", tc.in, got, tc.want)
 		}
-	}
-}
-
-// fakeBatchJournal extends fakeJournal with the staged and batch seams,
-// recording every group size it staged.
-type fakeBatchJournal struct {
-	fakeJournal
-	batchSizes []int
-}
-
-func (f *fakeBatchJournal) StageCommit(mut Mutation) (func() error, error) {
-	if err := f.Commit(mut); err != nil {
-		return nil, err
-	}
-	return func() error { return nil }, nil
-}
-
-func (f *fakeBatchJournal) StageCommitBatch(muts []Mutation) (func() error, error) {
-	if f.vetoErr != nil {
-		return nil, f.vetoErr
-	}
-	f.batchSizes = append(f.batchSizes, len(muts))
-	f.muts = append(f.muts, muts...)
-	return func() error { return nil }, nil
-}
-
-// TestAllocateBatchDifferential replays one request sequence through
-// batched admission and through the serialized locked baseline: per-op
-// outcomes, journal mutation streams, exported states, and a journal
-// replay must all be identical — batching is a throughput optimization,
-// never a semantic change.
-func TestAllocateBatchDifferential(t *testing.T) {
-	r := stats.NewRand(9191)
-	mb := mustManager(t, mediumThreeTier(), 0.05)
-	jb := &fakeBatchJournal{}
-	mb.SetJournal(jb)
-	ms := mustManager(t, mediumThreeTier(), 0.05, WithLockedAdmission())
-	js := &fakeJournal{}
-	ms.SetJournal(js)
-
-	var live []JobID
-	for round := 0; round < 12; round++ {
-		reqs := make([]BatchRequest, 4)
-		for k := range reqs {
-			if (round+k)%2 == 0 {
-				req, err := NewHomogeneous(1+r.IntN(3), stats.Normal{
-					Mu: r.UniformRange(2, 8), Sigma: r.UniformRange(0.5, 2)})
-				if err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				reqs[k] = BatchRequest{Homog: &req}
-			} else {
-				req := randHetero(r, 1+r.IntN(3), 2, 8)
-				reqs[k] = BatchRequest{Hetero: &req}
-			}
-		}
-		res := mb.AllocateBatch(reqs)
-		var admitted []JobID
-		for i, req := range reqs {
-			var (
-				sa   *Allocation
-				serr error
-			)
-			if req.Homog != nil {
-				sa, serr = ms.AllocateHomog(*req.Homog)
-			} else {
-				sa, serr = ms.AllocateHetero(*req.Hetero)
-			}
-			if (res[i].Err == nil) != (serr == nil) {
-				t.Fatalf("round %d item %d: batch err = %v, serial err = %v", round, i, res[i].Err, serr)
-			}
-			if res[i].Err != nil {
-				if !errors.Is(res[i].Err, ErrNoCapacity) {
-					t.Fatalf("round %d item %d: %v", round, i, res[i].Err)
-				}
-				continue
-			}
-			if res[i].Alloc.ID != sa.ID {
-				t.Fatalf("round %d item %d: batch job %d, serial job %d", round, i, res[i].Alloc.ID, sa.ID)
-			}
-			if !reflect.DeepEqual(res[i].Alloc.Placement.Entries, sa.Placement.Entries) {
-				t.Fatalf("round %d item %d: batch placement %v != serial %v",
-					round, i, &res[i].Alloc.Placement, &sa.Placement)
-			}
-			admitted = append(admitted, sa.ID)
-		}
-		// Keep load bounded: release everything but this round's first
-		// admission, on both managers, so the sequence stays identical.
-		for i, id := range admitted {
-			if i == 0 {
-				live = append(live, id)
-				continue
-			}
-			if err := mb.Release(id); err != nil {
-				t.Fatalf("round %d: batch Release(%d): %v", round, id, err)
-			}
-			if err := ms.Release(id); err != nil {
-				t.Fatalf("round %d: serial Release(%d): %v", round, id, err)
-			}
-		}
-	}
-
-	// A request larger than the datacenter rejects on both sides without
-	// consuming a job ID.
-	big, err := NewHomogeneous(mb.Topology().TotalSlots()+1, stats.Normal{Mu: 1, Sigma: 0})
-	if err != nil {
-		t.Fatalf("big request: %v", err)
-	}
-	res := mb.AllocateBatch([]BatchRequest{{Homog: &big}, {Homog: &big}})
-	for i, br := range res {
-		if !errors.Is(br.Err, ErrNoCapacity) {
-			t.Fatalf("oversized batch item %d: err = %v, want ErrNoCapacity", i, br.Err)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := ms.AllocateHomog(big); !errors.Is(err, ErrNoCapacity) {
-			t.Fatalf("oversized serial item %d: err = %v, want ErrNoCapacity", i, err)
-		}
-	}
-
-	if !reflect.DeepEqual(jb.muts, js.muts) {
-		t.Fatalf("journal streams diverge:\nbatch:  %d records\nserial: %d records", len(jb.muts), len(js.muts))
-	}
-	if got, want := mb.ExportState(), ms.ExportState(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("batched state differs from serialized baseline:\n got %+v\nwant %+v", got, want)
-	}
-
-	// The batch journal stream must also replay into the same state.
-	m3 := mustManager(t, mediumThreeTier(), 0.05)
-	for i, mut := range jb.muts {
-		if err := m3.Replay(mut); err != nil {
-			t.Fatalf("Replay(record %d, op %v): %v", i, mut.Op, err)
-		}
-	}
-	if got, want := m3.ExportState(), mb.ExportState(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("replayed state differs from batched manager")
-	}
-
-	// The BatchJournal seam was actually used, with real multi-item
-	// groups, and every batch admission was counted as revalidated.
-	maxBatch := 0
-	for _, n := range jb.batchSizes {
-		if n > maxBatch {
-			maxBatch = n
-		}
-	}
-	if maxBatch < 2 {
-		t.Fatalf("batch sizes %v: want at least one multi-item staged group", jb.batchSizes)
-	}
-	adm := mb.AdmissionStats()
-	if adm.Batch.Count == 0 || adm.Batch.Max < 2 {
-		t.Fatalf("batch summary %+v: want counted batches with size >= 2", adm.Batch)
-	}
-	if adm.PlanCacheHits == 0 {
-		t.Fatalf("admission stats %+v: want plan-cache hits from repeated shapes", adm)
-	}
-}
-
-// TestBatcherCoalesces pre-loads a Batcher's queue and runs one drain:
-// the backlog must be planned as maxBatch-sized groups, every caller
-// must get its own result, and the admission summary must record the
-// groups.
-func TestBatcherCoalesces(t *testing.T) {
-	m := mustManager(t, mediumThreeTier(), 0.05)
-	b := NewBatcher(m, 8)
-	const callers = 24
-	req, err := NewHomogeneous(1, stats.Normal{Mu: 2, Sigma: 0.5})
-	if err != nil {
-		t.Fatalf("NewHomogeneous: %v", err)
-	}
-	// Stuff the queue before the drain starts, exactly the backlog shape
-	// a burst leaves behind while a previous drain holds the lock.
-	done := make([]chan BatchResult, callers)
-	b.mu.Lock()
-	for g := range done {
-		done[g] = make(chan BatchResult, 1)
-		b.queue = append(b.queue, batchCall{req: BatchRequest{Homog: &req}, done: done[g]})
-	}
-	b.draining = true
-	b.mu.Unlock()
-	go b.drain()
-
-	seen := map[JobID]bool{}
-	for g := range done {
-		res := <-done[g]
-		if res.Err != nil {
-			t.Fatalf("caller %d: %v", g, res.Err)
-		}
-		if seen[res.Alloc.ID] {
-			t.Fatalf("caller %d: job %d delivered twice", g, res.Alloc.ID)
-		}
-		seen[res.Alloc.ID] = true
-	}
-	adm := m.AdmissionStats()
-	if adm.Batch.Count != callers/8 || adm.Batch.Max != 8 {
-		t.Fatalf("batch summary %+v: want %d batches of 8", adm.Batch, callers/8)
-	}
-	if adm.Revalidated != callers {
-		t.Fatalf("revalidated = %d, want %d (every batch admission counts there)", adm.Revalidated, callers)
-	}
-
-	// The public path still works end to end for a lone caller.
-	if _, err := b.Allocate(BatchRequest{Homog: &req}); err != nil {
-		t.Fatalf("Allocate: %v", err)
 	}
 }

@@ -130,12 +130,6 @@ type AdmissionStatus struct {
 	PlanCacheMisses        int64 `json:"planCacheMisses"`
 	PlanCacheInvalidations int64 `json:"planCacheInvalidations"`
 	PlanCacheEvictions     int64 `json:"planCacheEvictions"`
-
-	// Batch planning: group count, total requests planned in groups, and
-	// the mean group size (0 when batch admission is off).
-	Batches      int64   `json:"batches"`
-	BatchedPlans int64   `json:"batchedPlans"`
-	MeanBatch    float64 `json:"meanBatch"`
 }
 
 // WALStatus reports write-ahead-log activity, including group-commit
@@ -253,7 +247,6 @@ type Server struct {
 	standby   atomic.Bool
 	walStatus atomic.Pointer[func() WALStatus]
 	sharding  atomic.Pointer[func() *ShardingStatus]
-	batcher   *core.Batcher
 
 	// Replication seams, injected by the daemon (closures keep this
 	// package free of wal/replica dependencies). All four are atomics:
@@ -323,13 +316,6 @@ func (s *Server) SetWALStatus(fn func() WALStatus) {
 	}
 	s.walStatus.Store(&fn)
 }
-
-// SetBatcher routes allocations through batch admission: concurrent
-// POST /v1/allocations requests coalesce into shared planning and
-// commit groups. Requests carrying an idempotency key still take the
-// single-admission path (the batch path does not thread keys). Call
-// before serving; the field is read without a lock.
-func (s *Server) SetBatcher(b *core.Batcher) { s.batcher = b }
 
 // SetDraining switches the server in or out of drain mode. While
 // draining, every non-GET request is refused with 503 and a Retry-After
@@ -412,12 +398,9 @@ func (s *Server) handleAllocate(w http.ResponseWriter, req *http.Request) {
 	}
 	key := req.Header.Get(IdempotencyHeader)
 	var alloc *core.Allocation
-	switch {
-	case s.batcher != nil && key == "":
-		alloc, err = s.batcher.Allocate(core.BatchRequest{Homog: homog, Hetero: hetero})
-	case homog != nil:
+	if homog != nil {
 		alloc, err = mgr.AllocateHomog(*homog, core.WithIdemKey(key))
-	default:
+	} else {
 		alloc, err = mgr.AllocateHetero(*hetero, core.WithIdemKey(key))
 	}
 	switch {
@@ -540,10 +523,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 			PlanCacheMisses:        adm.PlanCacheMisses,
 			PlanCacheInvalidations: adm.PlanCacheInvalidations,
 			PlanCacheEvictions:     adm.PlanCacheEvictions,
-
-			Batches:      adm.Batch.Count,
-			BatchedPlans: adm.Batch.Sum,
-			MeanBatch:    adm.Batch.Mean(),
 		},
 	}
 	if fn := s.walStatus.Load(); fn != nil {

@@ -73,30 +73,19 @@ type Stats struct {
 // SimBackend drives a core.Manager in-process: the fast, deterministic
 // offline runner.
 type SimBackend struct {
-	mgr     *core.Manager
-	batcher *core.Batcher
-
-	topo      *topology.Topology
-	eps       float64
-	admission string
+	mgr  *core.Manager
+	topo *topology.Topology
+	eps  float64
 }
 
-// NewSimBackend builds the offline backend with svcd's admission modes
-// ("" | "optimistic" | "batch" | "locked").
-func NewSimBackend(topo *topology.Topology, eps float64, admission string) (*SimBackend, error) {
-	var opts []core.ManagerOption
-	if admission == "locked" {
-		opts = append(opts, core.WithLockedAdmission())
-	}
-	mgr, err := core.NewManager(topo, eps, opts...)
+// NewSimBackend builds the offline backend over a fresh manager with
+// svcd's admission pipeline.
+func NewSimBackend(topo *topology.Topology, eps float64) (*SimBackend, error) {
+	mgr, err := core.NewManager(topo, eps)
 	if err != nil {
 		return nil, err
 	}
-	b := &SimBackend{mgr: mgr, topo: topo, eps: eps, admission: admission}
-	if admission == "batch" {
-		b.batcher = core.NewBatcher(mgr, 0)
-	}
-	return b, nil
+	return &SimBackend{mgr: mgr, topo: topo, eps: eps}, nil
 }
 
 // Failover models a controller switch offline: the successor is rebuilt
@@ -105,18 +94,11 @@ func NewSimBackend(topo *topology.Topology, eps float64, admission string) (*Sim
 // the idempotency table all carry over, so admissions after the switch
 // are indistinguishable from a run without one.
 func (b *SimBackend) Failover() error {
-	var opts []core.ManagerOption
-	if b.admission == "locked" {
-		opts = append(opts, core.WithLockedAdmission())
-	}
-	mgr, err := core.NewManagerFromState(b.topo, b.eps, b.mgr.ExportState(), opts...)
+	mgr, err := core.NewManagerFromState(b.topo, b.eps, b.mgr.ExportState())
 	if err != nil {
 		return fmt.Errorf("scenario: sim failover: %w", err)
 	}
 	b.mgr = mgr
-	if b.admission == "batch" {
-		b.batcher = core.NewBatcher(mgr, 0)
-	}
 	return nil
 }
 
@@ -127,13 +109,7 @@ func (b *SimBackend) Manager() *core.Manager { return b.mgr }
 func (b *SimBackend) Name() string { return "sim" }
 
 func (b *SimBackend) Allocate(req core.Homogeneous) (AdmitResult, error) {
-	var alloc *core.Allocation
-	var err error
-	if b.batcher != nil {
-		alloc, err = b.batcher.Allocate(core.BatchRequest{Homog: &req})
-	} else {
-		alloc, err = b.mgr.AllocateHomog(req)
-	}
+	alloc, err := b.mgr.AllocateHomog(req)
 	if errors.Is(err, core.ErrNoCapacity) {
 		return AdmitResult{}, nil
 	}

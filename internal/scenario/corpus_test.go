@@ -17,7 +17,7 @@ var corpusExpect = map[string]bool{
 	"tor-cascade":      true,
 	"zone-drain":       true,
 	"heavy-tail":       true,
-	"batch-storm":      true,
+	"admission-storm":  true,
 	"failover-soak":    true,
 	"sharded-churn":    true,
 	"sharded-crosspod": true,

@@ -38,8 +38,6 @@ type LocalServer struct {
 type LocalConfig struct {
 	Topo *topology.Topology
 	Eps  float64
-	// Admission: "" | optimistic | batch | locked.
-	Admission string
 	// StateDir enables the write-ahead log (with group commit); the
 	// scenario runner always opens it nosync — scenarios measure the
 	// controller, not the disk.
@@ -50,41 +48,25 @@ type LocalConfig struct {
 	ShardMode string
 }
 
-// admissionOpts maps the admission mode onto manager options plus the
-// batch flag the API layer needs.
-func admissionOpts(admission string) (opts []core.ManagerOption, batch bool, err error) {
-	switch admission {
-	case "", "optimistic":
-	case "batch":
-		batch = true
-	case "locked":
-		opts = append(opts, core.WithLockedAdmission())
-	default:
-		err = fmt.Errorf("scenario: unknown admission mode %q", admission)
-	}
-	return opts, batch, err
-}
-
 // StartLocal builds and serves an in-process daemon.
 func StartLocal(cfg LocalConfig) (*LocalServer, error) {
 	if cfg.Shards > 0 {
 		return startLocalSharded(cfg)
 	}
-	mgrOpts, _, err := admissionOpts(cfg.Admission)
-	if err != nil {
-		return nil, err
-	}
-	var mgr *core.Manager
-	var journal *wal.Journal
+	var (
+		mgr     *core.Manager
+		journal *wal.Journal
+		err     error
+	)
 	if cfg.StateDir != "" {
-		mgr, journal, err = wal.Recover(cfg.StateDir, cfg.Topo, cfg.Eps, mgrOpts, wal.WithNoSync())
+		mgr, journal, err = wal.Recover(cfg.StateDir, cfg.Topo, cfg.Eps, nil, wal.WithNoSync())
 	} else {
-		mgr, err = core.NewManager(cfg.Topo, cfg.Eps, mgrOpts...)
+		mgr, err = core.NewManager(cfg.Topo, cfg.Eps)
 	}
 	if err != nil {
 		return nil, err
 	}
-	ls, err := serveLocal(mgr, journal, cfg.Admission)
+	ls, err := serveLocal(mgr, journal)
 	if err != nil && journal != nil {
 		journal.Close()
 	}
@@ -97,7 +79,7 @@ func startLocalSharded(cfg LocalConfig) (*LocalServer, error) {
 	if cfg.StateDir == "" {
 		return nil, errors.New("scenario: a sharded server needs a state dir (each pod keeps its own WAL)")
 	}
-	opts, _, err := shardOptions(cfg.Admission, cfg.ShardMode)
+	opts, _, err := shardOptions(cfg.ShardMode)
 	if err != nil {
 		return nil, err
 	}
@@ -121,23 +103,16 @@ func startLocalSharded(cfg LocalConfig) (*LocalServer, error) {
 // a fresh loopback HTTP server. A journaled server exposes the WAL tail
 // and fence endpoints, so a replica.Standby can follow it and a later
 // failover can fence it — exactly the surface a real svcd primary has.
-func serveLocal(mgr *core.Manager, journal *wal.Journal, admission string) (*LocalServer, error) {
-	_, batch, err := admissionOpts(admission)
-	if err != nil {
-		return nil, err
-	}
+func serveLocal(mgr *core.Manager, journal *wal.Journal) (*LocalServer, error) {
 	ls := &LocalServer{Mgr: mgr, journal: journal, serveErr: make(chan error, 1)}
 	ls.api = httpapi.NewServer(mgr)
-	if batch {
-		ls.api.SetBatcher(core.NewBatcher(mgr, 0))
-	}
 	if journal != nil {
 		ls.api.SetWALTail(replica.TailHandler(journal))
 		ls.api.SetFence(journal.Fence)
 	}
 	ls.server = &http.Server{Handler: ls.api.Handler()}
-	ls.listener, err = net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	var err error
+	if ls.listener, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
 		return nil, err
 	}
 	ls.URL = "http://" + ls.listener.Addr().String()
@@ -219,17 +194,12 @@ func StartLocalPair(cfg LocalConfig) (*LocalPair, error) {
 }
 
 func (lp *LocalPair) startStandby() error {
-	mgrOpts, _, err := admissionOpts(lp.cfg.Admission)
-	if err != nil {
-		return err
-	}
 	lp.gen++
 	s, err := replica.New(replica.Config{
 		Dir:     filepath.Join(lp.cfg.StateDir, fmt.Sprintf("standby-%d", lp.gen)),
 		Topo:    lp.cfg.Topo,
 		Eps:     lp.cfg.Eps,
 		Fetch:   replica.ClientFetcher(httpapi.NewClient(lp.Primary.URL, nil)),
-		MgrOpts: mgrOpts,
 		WALOpts: []wal.Option{wal.WithNoSync()},
 		NoSync:  true,
 	})
@@ -261,7 +231,7 @@ func (lp *LocalPair) Failover() (string, error) {
 		return "", fmt.Errorf("scenario: promote standby: %w", err)
 	}
 	lp.Primary.Crash()
-	srv, err := serveLocal(prom.Mgr, prom.Journal, lp.cfg.Admission)
+	srv, err := serveLocal(prom.Mgr, prom.Journal)
 	if err != nil {
 		prom.Journal.Close()
 		return "", err

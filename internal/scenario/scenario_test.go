@@ -100,6 +100,7 @@ func TestDecodeUnknownKey(t *testing.T) {
 		"name: x\nbogus: 1\n",
 		"name: x\ntopology: {aggs: 1, nope: 2}\n",
 		"name: x\nassert: {guarantee: {samples: 100, zzz: 1}}\n",
+		"name: x\nrun: {admission: batch}\n",
 	} {
 		if _, err := Decode([]byte(doc)); err == nil || !strings.Contains(err.Error(), "unknown key") {
 			t.Errorf("%q: err = %v, want unknown key", doc, err)
@@ -128,7 +129,6 @@ func TestValidateRejects(t *testing.T) {
 		{"fixed and mean", mutate(func(s *Scenario) { s.Fleet.Templates[0].N.Mean = 2 }), "n.fixed"},
 		{"hold beyond run", mutate(func(s *Scenario) { s.Fleet.Templates[0].Hold.Hi = 1000 }), "hold"},
 		{"rho without choices", mutate(func(s *Scenario) { s.Fleet.Templates[0].Demand.Rho = 1 }), "rho"},
-		{"bad admission", mutate(func(s *Scenario) { s.Run.Admission = "yolo" }), "admission"},
 		{"chaos mtbf", mutate(func(s *Scenario) { s.Chaos.Machines.MTBFSeconds = 0 }), "mtbf"},
 		{"drain index", mutate(func(s *Scenario) {
 			s.Chaos.Drains = []DrainSpec{{At: 10, Level: 2, Index: 99, Duration: 5}}

@@ -29,27 +29,21 @@ type shardOpenArgs struct {
 
 // shardOptions maps scenario run settings onto shard.Options. Scenarios
 // measure the controller, not the disk, so pod WALs open nosync.
-func shardOptions(admission, shardMode string) (shard.Options, shard.Mode, error) {
-	mgrOpts, batch, err := admissionOpts(admission)
-	if err != nil {
-		return shard.Options{}, 0, err
-	}
-	if batch {
-		return shard.Options{}, 0, errors.New("scenario: sharded runs do not support batch admission")
-	}
+func shardOptions(shardMode string) (shard.Options, shard.Mode, error) {
 	mode := shard.Strict
 	if shardMode != "" {
+		var err error
 		if mode, err = shard.ParseMode(shardMode); err != nil {
 			return shard.Options{}, 0, err
 		}
 	}
-	return shard.Options{Mode: mode, MgrOpts: mgrOpts, NoSync: true}, mode, nil
+	return shard.Options{Mode: mode, NoSync: true}, mode, nil
 }
 
-// NewShardBackend opens a sharded router under dir. cfg.Admission and
-// the shard settings come from the scenario's run block.
+// NewShardBackend opens a sharded router under dir. The shard settings
+// come from the scenario's run block.
 func NewShardBackend(dir string, cfg LocalConfig, shards int, shardMode string) (*ShardBackend, error) {
-	opts, mode, err := shardOptions(cfg.Admission, shardMode)
+	opts, mode, err := shardOptions(shardMode)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +73,7 @@ func (b *ShardBackend) Failover() error {
 	if err := b.router.Close(); err != nil {
 		return fmt.Errorf("scenario: shard failover close: %w", err)
 	}
-	opts, _, err := shardOptions(b.opts.cfg.Admission, b.opts.mode.String())
+	opts, _, err := shardOptions(b.opts.mode.String())
 	if err != nil {
 		return err
 	}

@@ -231,25 +231,6 @@ func mergeLatency(a, b metrics.LatencySummary) metrics.LatencySummary {
 	return a
 }
 
-func mergeInt(a, b metrics.IntSummary) metrics.IntSummary {
-	if b.Count == 0 {
-		return a
-	}
-	if a.Count == 0 {
-		return b
-	}
-	a.Sum += b.Sum
-	a.Count += b.Count
-	if b.Min < a.Min {
-		a.Min = b.Min
-	}
-	if b.Max > a.Max {
-		a.Max = b.Max
-	}
-	a.Last = b.Last
-	return a
-}
-
 // AdmissionStats returns the merged admission pipeline counters. In
 // strict mode planning happens on the shadow, so its stats are the
 // truth, with Locked counting the router's serialized commits; in fast
@@ -274,7 +255,6 @@ func (r *Router) AdmissionStats() core.AdmissionStats {
 		out.PlanCacheMisses += st.PlanCacheMisses
 		out.PlanCacheInvalidations += st.PlanCacheInvalidations
 		out.PlanCacheEvictions += st.PlanCacheEvictions
-		out.Batch = mergeInt(out.Batch, st.Batch)
 	}
 	return out
 }

@@ -537,38 +537,7 @@ func (j *Journal) StageCommit(mut core.Mutation) (func() error, error) {
 	if err != nil {
 		return nil, err
 	}
-	j.mu.Lock()
-	if j.err != nil {
-		err := j.err
-		j.mu.Unlock()
-		return nil, err
-	}
-	if j.fenced != 0 {
-		err := fmt.Errorf("%w: epoch %d supersedes %d", ErrFenced, j.fenced, j.epoch)
-		j.mu.Unlock()
-		return nil, err
-	}
-	b := j.batch
-	if b == nil {
-		b = &groupBatch{done: make(chan struct{})}
-		j.batch = b
-	}
-	b.buf = appendFrame(b.buf, payload)
-	b.noteStaged(payload)
-	b.n++
-	j.appended++
-	j.mu.Unlock()
-	return func() error {
-		j.mu.Lock()
-		lead := !b.led
-		b.led = true
-		j.mu.Unlock()
-		if lead {
-			j.flushBatch(b)
-		}
-		<-b.done
-		return b.err
-	}, nil
+	return j.stage(payload)
 }
 
 // StageCommitBatch implements core.BatchJournal: it stages a contiguous
@@ -591,6 +560,13 @@ func (j *Journal) StageCommitBatch(muts []core.Mutation) (func() error, error) {
 	if len(payloads) == 0 {
 		return func() error { return nil }, nil
 	}
+	return j.stage(payloads...)
+}
+
+// stage appends the encoded frames to the open group-commit batch under
+// one acquisition of j.mu and returns the wait shared by StageCommit and
+// StageCommitBatch. A poisoned or fenced journal stages nothing.
+func (j *Journal) stage(payloads ...[]byte) (func() error, error) {
 	j.mu.Lock()
 	if j.err != nil {
 		err := j.err

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # check.sh — the repo's verification gate: vet, project lint (svclint),
-# build, race-enabled tests, and a race storm with runtime invariant
-# assertions compiled in.
+# build, race-enabled tests, the nested svcdbench module's vet and tests,
+# and a race storm with runtime invariant assertions compiled in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +40,10 @@ go build ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+# svcdbench is a nested module: the root ./... never compiles it.
+echo "==> svcdbench: go vet ./... && go test ./..."
+(cd svcdbench && go vet ./... && go test ./...)
 
 # The storm test under -tags invariants additionally asserts Eq. 4
 # occupancy after every commit and staging-order == log-order in the
