@@ -153,15 +153,19 @@ func (c *checker) mutexOp(call *ast.CallExpr) (string, mutexOp) {
 type MutexOpKind int
 
 const (
-	OpNone    MutexOpKind = iota // not a mutex operation
-	OpAcquire                    // Lock or RLock
-	OpRelease                    // Unlock or RUnlock
+	OpNone       MutexOpKind = iota // not a mutex operation
+	OpAcquire                       // Lock or RLock
+	OpRelease                       // Unlock or RUnlock
+	OpTryAcquire                    // TryLock or TryRLock: acquires only if it returns true
 )
 
-// ClassifyMutexOp reports whether the call is a Lock/RLock or
-// Unlock/RUnlock on a sync.Mutex or RWMutex, returning the receiver
-// expression. Shared with lockorder, which keys lock classes off the
-// same classification.
+// ClassifyMutexOp reports whether the call is a Lock/RLock,
+// Unlock/RUnlock or TryLock/TryRLock on a sync.Mutex or RWMutex,
+// returning the receiver expression. Shared with lockorder, which keys
+// lock classes off the same classification. This analyzer ignores
+// TryLock (the held set does not track which outcome a branch took);
+// lockorder counts it as an acquisition, since it still orders the
+// mutex after every lock held at the call.
 func ClassifyMutexOp(info *types.Info, call *ast.CallExpr) (recv ast.Expr, kind MutexOpKind) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -172,6 +176,8 @@ func ClassifyMutexOp(info *types.Info, call *ast.CallExpr) (recv ast.Expr, kind 
 		kind = OpAcquire
 	case "Unlock", "RUnlock":
 		kind = OpRelease
+	case "TryLock", "TryRLock":
+		kind = OpTryAcquire
 	default:
 		return nil, OpNone
 	}

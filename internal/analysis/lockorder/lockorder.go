@@ -13,7 +13,9 @@
 // pod.mu are different instances of the same class):
 //
 //   - a direct x.Lock() while another class is held records an edge
-//     held-class -> new-class;
+//     held-class -> new-class; so does x.TryLock(), which never blocks
+//     but still nests x inside the held locks when it succeeds (the plan
+//     cache's eviction TryLocks an entry under planCache.mu);
 //   - a call while locks are held records an edge to every class the
 //     callee may acquire transitively (a callgraph.Fixpoint fact, so
 //     the WAL's group-commit closure is visible behind Journal.Commit);
@@ -64,6 +66,9 @@ var Order = []string{
 	"repro/internal/replica.Standby.mu",
 	"repro/internal/core.Manager.snapMu",
 	"repro/internal/core.Manager.mu",
+	"repro/internal/core.planCache.mu",
+	"repro/internal/core.homogEntry.mu",
+	"repro/internal/core.substrEntry.mu",
 	"repro/internal/wal.Journal.writeMu",
 	"repro/internal/wal.Journal.mu",
 }
@@ -135,7 +140,7 @@ func analyze(g *callgraph.Graph) *result {
 			}
 			ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 				if call, ok := node.(*ast.CallExpr); ok {
-					if recv, kind := lockcheck.ClassifyMutexOp(n.Unit.Info, call); kind == lockcheck.OpAcquire {
+					if recv, kind := lockcheck.ClassifyMutexOp(n.Unit.Info, call); kind == lockcheck.OpAcquire || kind == lockcheck.OpTryAcquire {
 						if c := classOf(n.Unit, recv); c != "" {
 							acq[c] = true
 						}
@@ -257,7 +262,7 @@ func (c *checker) call(call *ast.CallExpr, held heldSet) {
 	if recv, kind := lockcheck.ClassifyMutexOp(info, call); kind != lockcheck.OpNone {
 		path := lockcheck.ExprPath(recv)
 		switch kind {
-		case lockcheck.OpAcquire:
+		case lockcheck.OpAcquire, lockcheck.OpTryAcquire:
 			class := classOf(c.node.Unit, recv)
 			if class != "" {
 				for _, hc := range heldClasses(held) {

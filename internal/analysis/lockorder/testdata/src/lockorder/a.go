@@ -94,3 +94,24 @@ func (s *Server) justified() {
 	s.a.Unlock()
 	s.b.Unlock()
 }
+
+// tryInverted takes a ranked lock out of order with TryLock: it never
+// blocks, but a success still nests a inside b.
+func (s *Server) tryInverted() {
+	s.b.Lock()
+	if s.a.TryLock() { // want `acquires lockorder\.Server\.a while holding lockorder\.Server\.b, violating the documented lock order`
+		s.a.Unlock()
+	}
+	s.b.Unlock()
+}
+
+// tryOrdered TryLocks in the documented order: clean.
+func (s *Server) tryOrdered() {
+	s.a.Lock()
+	if !s.b.TryLock() {
+		s.a.Unlock()
+		return
+	}
+	s.b.Unlock()
+	s.a.Unlock()
+}

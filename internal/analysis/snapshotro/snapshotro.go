@@ -42,12 +42,12 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // SnapshotFuncs are the functions whose results are shared read-only
-// state. cachedRecords is the plan cache's view of its memoized DP
-// tables: selection and reconstruction read it, but every write must go
-// through the fill path so a cached table always equals a cold recompute.
+// state. cachedTable is the plan cache's view of a memoized DP table:
+// selection and reconstruction read it, but every write must go through
+// the fill path so a cached table always equals a cold recompute.
 var SnapshotFuncs = map[string]bool{
 	"snapshot": true, "snapshotVer": true, "Snapshot": true,
-	"cachedRecords": true,
+	"cachedTable": true,
 }
 
 // mutators are methods that change ledger, overlay, or slot state; a

@@ -138,29 +138,49 @@ func (m *Manager) BadCommit(mut *Mutation) error {
 type rec struct {
 	ver    uint64
 	filled bool
+	off    int
+}
+
+type table struct {
+	recs  []rec
+	optIn []float64
 }
 
 type entry struct {
-	recs []rec
+	tab table
 }
 
-func (e *entry) cachedRecords() []rec { return e.recs }
+func (e *entry) cachedTable() *table { return &e.tab }
 
 // negative: the selection scan only reads the cached table.
 
-func (e *entry) Best() int {
-	recs := e.cachedRecords()
-	for i := range recs {
-		if recs[i].filled {
+func (e *entry) Best(n int) int {
+	tab := e.cachedTable()
+	for i := range tab.recs {
+		if tab.recs[i].filled && tab.optIn[tab.recs[i].off+n] < 1 {
 			return i
 		}
 	}
 	return -1
 }
 
-// positive: writing through the cached view bypasses the fill path.
+// negative: the fill path writes the entry's own table, not the view.
+
+func (e *entry) Fill(v int) {
+	e.tab.recs[v].filled = true
+}
+
+// positive: writing a header through the cached view bypasses the fill
+// path.
 
 func (e *entry) BadFill(v int) {
-	recs := e.cachedRecords()
-	recs[v].filled = true // want `write through shared snapshot recs`
+	tab := e.cachedTable()
+	tab.recs[v].filled = true // want `write through shared snapshot tab`
+}
+
+// positive: so does writing a row cell.
+
+func (e *entry) BadCell(v, n int) {
+	tab := e.cachedTable()
+	tab.optIn[tab.recs[v].off+n] = 0 // want `write through shared snapshot tab`
 }

@@ -174,7 +174,7 @@ func substrCompute(led *Ledger, topo *topology.Topology, v topology.NodeID, n in
 						tIdx := rec.idx(aLen+cl, a)
 						val := 0.0
 						if policy == MinMaxOccupancy {
-							val = math.Max(cur, math.Max(child.optIn[cIdx], child.upOcc[cIdx]))
+							val = max(cur, max(child.optIn[cIdx], child.upOcc[cIdx]))
 						} else if next[tIdx] != infeasible {
 							continue
 						}

@@ -217,7 +217,7 @@ func homogCompute(led *Ledger, topo *topology.Topology, v topology.NodeID, n int
 					}
 					switch policy {
 					case MinMaxOccupancy:
-						val := math.Max(acc[h], math.Max(child.optIn[e], child.upOcc[e]))
+						val := max(acc[h], max(child.optIn[e], child.upOcc[e]))
 						if val < next[h+e] {
 							next[h+e] = val
 							pick[h+e] = int32(e)

@@ -40,6 +40,13 @@ import (
 // bit-identical to cold ones — the equivalence suite in
 // plancache_test.go and a sampled -tags invariants cross-check hold
 // them to that.
+//
+// Storage is flat and pointer-free (dpTable): an entry keeps one scalar
+// header per vertex and four backing slices the headers index into,
+// with each vertex's row sized by its subtree's static slot capacity.
+// A miss therefore allocates a handful of slices — none, when it adopts
+// the storage of the entry it evicts — instead of several per vertex,
+// and the garbage collector never scans the tables.
 
 const (
 	// maxHomogPlanEntries / maxHeteroPlanEntries bound the number of
@@ -61,14 +68,17 @@ type planCacheStats struct {
 	Misses        int64 // plans that had to build a new entry
 	Invalidations int64 // stale vertex records recomputed on existing entries
 	Evictions     int64 // entries dropped by the FIFO bound
+	Reclaims      int64 // evicted entries whose storage passed to their replacement
 }
 
 // planCache memoizes per-subtree DP tables across admissions. One per
 // Manager; safe for concurrent use. Plans for the same key serialize on
 // the entry's mutex (they would recompute identical records anyway);
-// plans for different keys run concurrently.
+// plans for different keys run concurrently. Lock order: mu, then an
+// entry's mu — eviction only TryLocks the victim, so it never waits.
 type planCache struct {
 	mu         sync.Mutex
+	frame      *planFrame // vertex numbering every entry's tables use
 	homog      map[homogKey]*homogEntry
 	hetero     map[string]*substrEntry
 	homogFIFO  []homogKey
@@ -84,6 +94,125 @@ func newPlanCache() *planCache {
 	}
 }
 
+// planFrame numbers the vertices the cache's DPs visit — the whole tree,
+// or a plan scope's subtree — densely, so entries lay out rows for those
+// vertices only. Slots are assigned level by level, bottom-up, so the
+// frame root is the last slot.
+type planFrame struct {
+	topo   *topology.Topology
+	scope  *planScope
+	slot   []int32 // NodeID -> frame slot; -1 outside the frame
+	slots  []int   // per frame slot: VM slots in the vertex's subtree
+	parent []int   // per frame slot: the parent's frame slot; -1 for the frame root
+}
+
+func newPlanFrame(topo *topology.Topology, scope *planScope) *planFrame {
+	f := &planFrame{topo: topo, scope: scope, slot: make([]int32, topo.Len())}
+	for i := range f.slot {
+		f.slot[i] = -1
+	}
+	var ids []topology.NodeID
+	for level := 0; level <= scopeHeight(topo, scope); level++ {
+		for _, v := range scopeAtLevel(topo, scope, level) {
+			node := topo.Node(v)
+			slots := node.Slots
+			for _, c := range node.Children {
+				slots += f.slots[f.slot[c]]
+			}
+			f.slot[v] = int32(len(f.slots))
+			f.slots = append(f.slots, slots)
+			ids = append(ids, v)
+		}
+	}
+	f.parent = make([]int, len(ids))
+	for i, v := range ids {
+		f.parent[i] = -1
+		if p := topo.Node(v).Parent; p != topology.None {
+			f.parent[i] = int(f.slot[p])
+		}
+	}
+	return f
+}
+
+// width is the row width of frame slot i for a request of n VMs: one
+// group of unit cells per count 0..min(n, subtree slots). FreeSlots
+// never exceeds a machine's Slots, so a record's cap always fits.
+func (f *planFrame) width(i, n, unit int) int { return (min(n, f.slots[i]) + 1) * unit }
+
+// frameLocked returns the cache's frame, building it on first use. A
+// cache serves one manager, whose topology and scope are immutable.
+func (c *planCache) frameLocked(topo *topology.Topology, scope *planScope) *planFrame {
+	if c.frame == nil {
+		c.frame = newPlanFrame(topo, scope)
+	}
+	if c.frame.topo != topo || c.frame.scope != scope {
+		panic("core: plan cache used with a second topology or plan scope")
+	}
+	return c.frame
+}
+
+// cachedRec is the scalar header of one vertex's persistent DP record:
+// the subtree version it was computed under and where its rows live in
+// the entry's dpTable.
+type cachedRec struct {
+	ver    uint64
+	filled bool
+	cap    int // largest VM count (homog) or substring length (hetero) in the subtree
+	off    int // row start in optIn, upOcc and alloc
+	coff   int // start of this vertex's split column in choice; -1 for the frame root
+}
+
+// dpTable is one entry's DP storage. Row i of optIn/upOcc/alloc starts
+// at recs[i].off and is frame.width(i) cells wide; choice holds, for
+// every non-root vertex, the split its parent gave it, indexed like the
+// parent's row (a vertex is exactly one parent's child). The layout is
+// fixed for the entry's life. No cell is zeroed between fills: every
+// cell a fill reads was written earlier in the same fill.
+type dpTable struct {
+	recs   []cachedRec // per frame slot
+	optIn  []float64
+	upOcc  []float64
+	alloc  []bool
+	choice []int32
+	acc    []float64 // child-combine scratch, the frame root's row width
+	next   []float64
+}
+
+// layout sizes t for frame f and n VMs (unit cells per count), taking
+// each slice from spare when its capacity is within 2x of the need and
+// allocating it otherwise: the bound keeps storage from ratcheting up to
+// the largest request ever seen. spare is emptied.
+func (t *dpTable) layout(f *planFrame, n, unit int, spare *dpTable) {
+	t.recs = fitOrMake(spare.recs, len(f.slots))
+	cells, choiceCells := 0, 0
+	for i := range t.recs {
+		rec := cachedRec{off: cells, coff: -1}
+		cells += f.width(i, n, unit)
+		if p := f.parent[i]; p >= 0 {
+			rec.coff = choiceCells
+			choiceCells += f.width(p, n, unit)
+		}
+		t.recs[i] = rec
+	}
+	rootWidth := f.width(len(f.slots)-1, n, unit)
+	t.optIn = fitOrMake(spare.optIn, cells)
+	t.upOcc = fitOrMake(spare.upOcc, cells)
+	t.alloc = fitOrMake(spare.alloc, cells)
+	t.choice = fitOrMake(spare.choice, choiceCells)
+	t.acc = fitOrMake(spare.acc, rootWidth)
+	t.next = fitOrMake(spare.next, rootWidth)
+	*spare = dpTable{}
+}
+
+// fitOrMake returns s resliced to n when its capacity is within [n, 2n],
+// and a fresh slice otherwise.
+func fitOrMake[T any](s []T, n int) []T {
+	if cap(s) >= n && cap(s) <= 2*n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
 // homogKey identifies one homogeneous DP table shape. The demand is
 // canonicalized (canonDemand) so equal effective demands share entries.
 type homogKey struct {
@@ -92,48 +221,54 @@ type homogKey struct {
 	policy Policy
 }
 
-// cachedHomogRec is the persistent counterpart of homogRecord: same DP
-// content, but backed by entry-owned slices (arena slices live only one
-// call) plus the subtree version the record was computed under.
-type cachedHomogRec struct {
-	ver    uint64
-	filled bool
-	cap    int
-	optIn  []float64 // len n+1
-	upOcc  []float64 // len n+1
-	alloc  []bool    // len n+1
-	choice [][]int32 // per child, len n+1
-}
-
-// homogEntry holds one memoized homogeneous DP table. All fields are
-// guarded by mu; the fill path writes recs in place, readers go through
-// cachedRecords.
+// homogEntry holds one memoized homogeneous DP table. mu guards the
+// epoch and table fields (the rest is fixed at creation); the fill path
+// writes tab in place, readers go through cachedTable.
 type homogEntry struct {
 	mu       sync.Mutex
 	n        int
 	policy   Policy
 	demand   stats.Normal   // canonical
 	crossing []stats.Normal // crossing[m]: demand on a link with m of n VMs below
-	epoch    uint64         // Faults().Epoch() the records were computed under
+	frame    *planFrame
+	epoch    uint64 // Faults().Epoch() the records were computed under
 	epochSet bool
-	recs     []cachedHomogRec // indexed by NodeID; nil until the first plan
-	acc      []float64        // combine scratch, len n+1
-	next     []float64
+	tab      dpTable // tab.recs == nil until the first plan lays it out
+	spare    dpTable // an evicted entry's storage, offered to that layout
 }
 
-// cachedRecords returns the entry's DP table for read-only use by the
-// selection scan and placement reconstruction. The tables are
+// cachedTable returns the entry's DP table for read-only use by the
+// selection scan and placement reconstruction. The table is
 // snapshot-derived shared state (the snapshotro analyzer tracks this
 // accessor): all writes go through the fill path, never through the
 // returned view.
-func (e *homogEntry) cachedRecords() []cachedHomogRec { return e.recs }
+func (e *homogEntry) cachedTable() *dpTable { return &e.tab }
+
+// reclaim takes an evicted entry's storage for its replacement, unless a
+// planner holds the entry. The entry is left with no tables, so a
+// planner that still references it lays out fresh storage.
+func (e *homogEntry) reclaim() (dpTable, bool) {
+	if !e.mu.TryLock() {
+		return dpTable{}, false
+	}
+	defer e.mu.Unlock()
+	t := e.tab
+	if t.recs == nil {
+		t = e.spare
+	}
+	e.tab, e.spare = dpTable{}, dpTable{}
+	return t, true
+}
 
 // homogEntryFor returns the entry for the request's table shape,
 // creating (and possibly evicting) under the cache lock.
-func (c *planCache) homogEntryFor(req Homogeneous, policy Policy) (*homogEntry, bool) {
+func (c *planCache) homogEntryFor(led *Ledger, req Homogeneous, policy Policy, scope *planScope) (*homogEntry, bool) {
 	key := homogKey{demand: canonDemand(req.Demand), n: req.N, policy: policy}
+	// Built outside the cache-wide lock; a hit discards it.
+	crossing := crossingTableHomog(key.demand, key.n)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	f := c.frameLocked(led.Topology(), scope)
 	if e := c.homog[key]; e != nil {
 		c.stats.Hits++
 		return e, true
@@ -143,15 +278,21 @@ func (c *planCache) homogEntryFor(req Homogeneous, policy Policy) (*homogEntry, 
 		n:        key.n,
 		policy:   policy,
 		demand:   key.demand,
-		crossing: crossingTableHomog(key.demand, key.n),
+		crossing: crossing,
+		frame:    f,
 	}
 	c.homog[key] = e
 	c.homogFIFO = append(c.homogFIFO, key)
 	if len(c.homogFIFO) > maxHomogPlanEntries {
 		oldest := c.homogFIFO[0]
 		c.homogFIFO = c.homogFIFO[1:]
+		victim := c.homog[oldest]
 		delete(c.homog, oldest)
 		c.stats.Evictions++
+		if t, ok := victim.reclaim(); ok {
+			e.spare = t
+			c.stats.Reclaims++
+		}
 	}
 	return e, false
 }
@@ -164,9 +305,9 @@ func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, s
 	if err := req.Validate(); err != nil {
 		return Placement{}, nil, err
 	}
-	e, hit := c.homogEntryFor(req, policy)
+	e, hit := c.homogEntryFor(led, req, policy, scope)
 	e.mu.Lock()
-	p, contribs, recomputed, err := e.plan(led, scope)
+	p, contribs, recomputed, err := e.plan(led)
 	e.mu.Unlock()
 	c.notePlan(hit, recomputed)
 	if invariantsEnabled && c.shouldSample() {
@@ -179,27 +320,25 @@ func (c *planCache) allocateHomog(led *Ledger, req Homogeneous, policy Policy, s
 // plan runs the level-order DP reusing every record whose subtree
 // version still matches. Callers hold e.mu. Returns the number of
 // vertex records recomputed.
-func (e *homogEntry) plan(led *Ledger, scope *planScope) (Placement, []linkDemand, int, error) {
-	topo := led.Topology()
-	if e.recs == nil {
-		e.recs = make([]cachedHomogRec, topo.Len())
-		e.acc = make([]float64, e.n+1)
-		e.next = make([]float64, e.n+1)
+func (e *homogEntry) plan(led *Ledger) (Placement, []linkDemand, int, error) {
+	topo, f := led.Topology(), e.frame
+	if e.tab.recs == nil {
+		e.tab.layout(f, e.n, 1, &e.spare)
 	}
 	if ep := led.Faults().Epoch(); !e.epochSet || e.epoch != ep {
 		// Fault state changed: reachability is not subtree-local, so the
 		// whole table is suspect.
-		for i := range e.recs {
-			e.recs[i].filled = false
+		for i := range e.tab.recs {
+			e.tab.recs[i].filled = false
 		}
 		e.epoch = ep
 		e.epochSet = true
 	}
 	recomputed := 0
-	for level := 0; level <= scopeHeight(topo, scope); level++ {
-		verts := scopeAtLevel(topo, scope, level)
+	for level := 0; level <= scopeHeight(topo, f.scope); level++ {
+		verts := scopeAtLevel(topo, f.scope, level)
 		for _, v := range verts {
-			r := &e.recs[v]
+			r := &e.tab.recs[f.slot[v]]
 			if r.filled && r.ver == led.SubtreeVersion(v) {
 				continue // children are current too: any bump below v bumps v
 			}
@@ -210,17 +349,17 @@ func (e *homogEntry) plan(led *Ledger, scope *planScope) (Placement, []linkDeman
 		}
 		// Selection mirrors AllocateHomogWorkers: sequential, in topology
 		// order, so tie-breaking matches the cold path exactly.
-		recs := e.cachedRecords()
+		tab := e.cachedTable()
 		var (
 			best    topology.NodeID = topology.None
 			bestVal                 = infeasible
 		)
 		for _, v := range verts {
-			rec := &recs[v]
-			if rec.cap < e.n || rec.optIn[e.n] == infeasible {
+			rec := &tab.recs[f.slot[v]]
+			if rec.cap < e.n || tab.optIn[rec.off+e.n] == infeasible {
 				continue
 			}
-			val := rec.optIn[e.n]
+			val := tab.optIn[rec.off+e.n]
 			if e.policy == FirstFeasible && best != topology.None {
 				continue
 			}
@@ -230,7 +369,7 @@ func (e *homogEntry) plan(led *Ledger, scope *planScope) (Placement, []linkDeman
 		}
 		if best != topology.None {
 			var p Placement
-			cachedHomogBuild(topo, recs, best, e.n, &p)
+			e.build(topo, tab, best, e.n, &p)
 			p.normalize()
 			req := Homogeneous{N: e.n, Demand: e.demand}
 			return p, homogContributions(topo, req, &p), recomputed, nil
@@ -241,44 +380,35 @@ func (e *homogEntry) plan(led *Ledger, scope *planScope) (Placement, []linkDeman
 
 // computeVertex fills v's record from the ledger and the children's
 // (already current) records — the same arithmetic as homogCompute, but
-// into persistent storage. Every slot in [0, cap] is written before it
+// into the entry's rows. Every cell in [0, cap] is written before it
 // can be read, so stale values from a previous fill never leak.
 func (e *homogEntry) computeVertex(led *Ledger, topo *topology.Topology, v topology.NodeID) {
 	node := topo.Node(v)
-	r := &e.recs[v]
+	t, slot := &e.tab, e.frame.slot
+	r := &t.recs[slot[v]]
 	n := e.n
-	if r.optIn == nil {
-		r.optIn = make([]float64, n+1)
-		r.upOcc = make([]float64, n+1)
-		r.alloc = make([]bool, n+1)
-	}
+	optIn := t.optIn[r.off:]
 	if node.IsMachine() {
 		r.cap = min(n, led.FreeSlots(v))
 		for s := 0; s <= r.cap; s++ {
-			r.optIn[s] = 0
+			optIn[s] = 0
 		}
 	} else {
 		capV := 0
 		for _, c := range node.Children {
-			capV += e.recs[c].cap
+			capV += t.recs[slot[c]].cap
 		}
 		r.cap = min(n, capV)
-		acc, next := e.acc, e.next
+		acc, next := t.acc, t.next
 		acc[0] = 0
 		for s := 1; s <= r.cap; s++ {
 			acc[s] = infeasible
 		}
-		if len(r.choice) != len(node.Children) {
-			r.choice = make([][]int32, len(node.Children))
-		}
 		reach := 0
-		for i, c := range node.Children {
-			child := &e.recs[c]
-			pick := r.choice[i]
-			if pick == nil {
-				pick = make([]int32, n+1)
-				r.choice[i] = pick
-			}
+		for _, c := range node.Children {
+			child := &t.recs[slot[c]]
+			cOpt, cUp, cAlloc := t.optIn[child.off:], t.upOcc[child.off:], t.alloc[child.off:]
+			pick := t.choice[child.coff:]
 			for s := 0; s <= r.cap; s++ {
 				next[s] = infeasible
 				pick[s] = -1
@@ -288,12 +418,12 @@ func (e *homogEntry) computeVertex(led *Ledger, topo *topology.Topology, v topol
 					continue
 				}
 				for s := 0; s <= child.cap && h+s <= r.cap; s++ {
-					if !child.alloc[s] {
+					if !cAlloc[s] {
 						continue
 					}
 					switch e.policy {
 					case MinMaxOccupancy:
-						val := math.Max(acc[h], math.Max(child.optIn[s], child.upOcc[s]))
+						val := max(acc[h], max(cOpt[s], cUp[s]))
 						if val < next[h+s] {
 							next[h+s] = val
 							pick[h+s] = int32(s)
@@ -312,26 +442,27 @@ func (e *homogEntry) computeVertex(led *Ledger, topo *topology.Topology, v topol
 			acc, next = next, acc
 			reach = min(r.cap, reach+child.cap)
 		}
-		copy(r.optIn[:r.cap+1], acc[:r.cap+1])
+		copy(optIn[:r.cap+1], acc[:r.cap+1])
 	}
 
 	isRoot := node.Parent == topology.None
+	upOcc, alloc := t.upOcc[r.off:], t.alloc[r.off:]
 	for s := 0; s <= r.cap; s++ {
-		r.alloc[s] = false
-		if r.optIn[s] == infeasible {
+		alloc[s] = false
+		if optIn[s] == infeasible {
 			continue
 		}
 		if isRoot {
-			r.alloc[s] = true
+			alloc[s] = true
 			continue
 		}
-		r.upOcc[s] = led.OccupancyWith(v, e.crossing[s])
-		r.alloc[s] = r.upOcc[s] < 1
+		upOcc[s] = led.OccupancyWith(v, e.crossing[s])
+		alloc[s] = upOcc[s] < 1
 	}
 }
 
-// cachedHomogBuild is homogBuild over the persistent records.
-func cachedHomogBuild(topo *topology.Topology, records []cachedHomogRec, v topology.NodeID, s int, p *Placement) {
+// build is homogBuild over the cached table.
+func (e *homogEntry) build(topo *topology.Topology, tab *dpTable, v topology.NodeID, s int, p *Placement) {
 	if s == 0 {
 		return
 	}
@@ -340,14 +471,14 @@ func cachedHomogBuild(topo *topology.Topology, records []cachedHomogRec, v topol
 		p.Entries = append(p.Entries, PlacementEntry{Machine: v, Count: s})
 		return
 	}
-	rec := &records[v]
 	for i := len(node.Children) - 1; i >= 0; i-- {
-		e := int(rec.choice[i][s])
-		if e < 0 {
+		c := node.Children[i]
+		k := int(tab.choice[tab.recs[e.frame.slot[c]].coff+s])
+		if k < 0 {
 			panic(fmt.Sprintf("core: no cached choice for child %d of node %d at sum %d", i, v, s))
 		}
-		cachedHomogBuild(topo, records, node.Children[i], e, p)
-		s -= e
+		e.build(topo, tab, c, k, p)
+		s -= k
 	}
 	if s != 0 {
 		panic(fmt.Sprintf("core: cached reconstruction at node %d left %d VMs unassigned", v, s))
@@ -356,42 +487,42 @@ func cachedHomogBuild(topo *topology.Topology, records []cachedHomogRec, v topol
 
 // --- heterogeneous substring tables ---
 
-// cachedSubstrRec is the persistent counterpart of substrRecord. Slices
-// are sized for the full (n+1) x (n+1) index space so the (length, a)
-// layout stays valid as maxLen moves between fills.
-type cachedSubstrRec struct {
-	ver    uint64
-	filled bool
-	maxLen int
-	n      int
-	optIn  []float64
-	upOcc  []float64
-	alloc  []bool
-	choice [][]int32 // per child, len (n+1)*(n+1)
-}
-
-func (r *cachedSubstrRec) idx(length, a int) int { return length*(r.n+1) + a }
-
 // substrEntry holds one memoized substring-DP table, keyed by the
 // percentile-sorted canonical demand sequence — permutations of the
 // same demand multiset share it; the caller's order slice maps substring
-// positions back to its request's VM indices.
+// positions back to its request's VM indices. A record's rows are
+// indexed by (length, a) at length*(n+1)+a, for length up to the
+// vertex's cap.
 type substrEntry struct {
 	mu       sync.Mutex
 	n        int
 	policy   Policy
 	sorted   []stats.Normal // canonical, percentile-sorted
 	prefix   *demandPrefix
+	frame    *planFrame
 	epoch    uint64
 	epochSet bool
-	recs     []cachedSubstrRec
-	acc      []float64 // combine scratch, len (n+1)*(n+1)
-	next     []float64
+	tab      dpTable
+	spare    dpTable
 }
 
-// cachedRecords is the read-only view of the substring table; see
-// homogEntry.cachedRecords.
-func (e *substrEntry) cachedRecords() []cachedSubstrRec { return e.recs }
+// cachedTable is the read-only view of the substring table; see
+// homogEntry.cachedTable.
+func (e *substrEntry) cachedTable() *dpTable { return &e.tab }
+
+// reclaim is homogEntry.reclaim for substring entries.
+func (e *substrEntry) reclaim() (dpTable, bool) {
+	if !e.mu.TryLock() {
+		return dpTable{}, false
+	}
+	defer e.mu.Unlock()
+	t := e.tab
+	if t.recs == nil {
+		t = e.spare
+	}
+	e.tab, e.spare = dpTable{}, dpTable{}
+	return t, true
+}
 
 // substrCacheKey renders the sorted canonical demand sequence and policy
 // as an exact-value key (float bits, not formatted decimals).
@@ -408,9 +539,13 @@ func substrCacheKey(sorted []stats.Normal, policy Policy) string {
 	return b.String()
 }
 
-func (c *planCache) substrEntryFor(key string, sorted []stats.Normal, policy Policy) (*substrEntry, bool) {
+func (c *planCache) substrEntryFor(led *Ledger, sorted []stats.Normal, policy Policy, scope *planScope) (*substrEntry, bool) {
+	key := substrCacheKey(sorted, policy)
+	// Built outside the cache-wide lock; a hit discards it.
+	prefix := newDemandPrefix(sorted)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	f := c.frameLocked(led.Topology(), scope)
 	if e := c.hetero[key]; e != nil {
 		c.stats.Hits++
 		return e, true
@@ -420,15 +555,21 @@ func (c *planCache) substrEntryFor(key string, sorted []stats.Normal, policy Pol
 		n:      len(sorted),
 		policy: policy,
 		sorted: sorted,
-		prefix: newDemandPrefix(sorted),
+		prefix: prefix,
+		frame:  f,
 	}
 	c.hetero[key] = e
 	c.heteroFIFO = append(c.heteroFIFO, key)
 	if len(c.heteroFIFO) > maxHeteroPlanEntries {
 		oldest := c.heteroFIFO[0]
 		c.heteroFIFO = c.heteroFIFO[1:]
+		victim := c.hetero[oldest]
 		delete(c.hetero, oldest)
 		c.stats.Evictions++
+		if t, ok := victim.reclaim(); ok {
+			e.spare = t
+			c.stats.Reclaims++
+		}
 	}
 	return e, false
 }
@@ -443,9 +584,9 @@ func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, poli
 	for i := range sorted {
 		sorted[i] = canonDemand(sorted[i])
 	}
-	e, hit := c.substrEntryFor(substrCacheKey(sorted, policy), sorted, policy)
+	e, hit := c.substrEntryFor(led, sorted, policy, scope)
 	e.mu.Lock()
-	p, contribs, recomputed, err := e.plan(led, req, order, scope)
+	p, contribs, recomputed, err := e.plan(led, req, order)
 	e.mu.Unlock()
 	c.notePlan(hit, recomputed)
 	if invariantsEnabled && c.shouldSample() {
@@ -457,27 +598,24 @@ func (c *planCache) allocateHeteroSubstring(led *Ledger, req Heterogeneous, poli
 
 // plan runs the substring DP reusing current records; callers hold e.mu.
 // order maps substring positions to the caller's VM indices.
-func (e *substrEntry) plan(led *Ledger, req Heterogeneous, order []int, scope *planScope) (Placement, []linkDemand, int, error) {
-	topo := led.Topology()
+func (e *substrEntry) plan(led *Ledger, req Heterogeneous, order []int) (Placement, []linkDemand, int, error) {
+	topo, f := led.Topology(), e.frame
 	n := e.n
-	if e.recs == nil {
-		e.recs = make([]cachedSubstrRec, topo.Len())
-		size := (n + 1) * (n + 1)
-		e.acc = make([]float64, size)
-		e.next = make([]float64, size)
+	if e.tab.recs == nil {
+		e.tab.layout(f, n, n+1, &e.spare)
 	}
 	if ep := led.Faults().Epoch(); !e.epochSet || e.epoch != ep {
-		for i := range e.recs {
-			e.recs[i].filled = false
+		for i := range e.tab.recs {
+			e.tab.recs[i].filled = false
 		}
 		e.epoch = ep
 		e.epochSet = true
 	}
 	recomputed := 0
-	for level := 0; level <= scopeHeight(topo, scope); level++ {
-		verts := scopeAtLevel(topo, scope, level)
+	for level := 0; level <= scopeHeight(topo, f.scope); level++ {
+		verts := scopeAtLevel(topo, f.scope, level)
 		for _, v := range verts {
-			r := &e.recs[v]
+			r := &e.tab.recs[f.slot[v]]
 			if r.filled && r.ver == led.SubtreeVersion(v) {
 				continue
 			}
@@ -486,21 +624,21 @@ func (e *substrEntry) plan(led *Ledger, req Heterogeneous, order []int, scope *p
 			r.filled = true
 			recomputed++
 		}
-		recs := e.cachedRecords()
+		tab := e.cachedTable()
 		var (
 			best    topology.NodeID = topology.None
 			bestVal                 = infeasible
 		)
 		for _, v := range verts {
-			rec := &recs[v]
-			if rec.maxLen < n {
+			rec := &tab.recs[f.slot[v]]
+			if rec.cap < n {
 				continue
 			}
-			full := rec.idx(n, 0)
-			if rec.optIn[full] == infeasible {
+			full := rec.off + n*(n+1) // (length n, a 0)
+			if tab.optIn[full] == infeasible {
 				continue
 			}
-			val := rec.optIn[full]
+			val := tab.optIn[full]
 			if e.policy == FirstFeasible && best != topology.None {
 				continue
 			}
@@ -510,7 +648,7 @@ func (e *substrEntry) plan(led *Ledger, req Heterogeneous, order []int, scope *p
 		}
 		if best != topology.None {
 			var p Placement
-			cachedSubstrBuild(topo, recs, order, best, 0, n, &p)
+			e.build(topo, tab, order, best, 0, n, &p)
 			p.normalize()
 			return p, heteroContributions(topo, req, &p), recomputed, nil
 		}
@@ -519,72 +657,62 @@ func (e *substrEntry) plan(led *Ledger, req Heterogeneous, order []int, scope *p
 }
 
 // computeVertex fills v's substring record — the same arithmetic as
-// substrCompute, into persistent storage. Indices outside the current
-// (maxLen, n) ranges may hold stale values; every consumer loop is
-// bounded by the current caps, so they are never read.
+// substrCompute, into the entry's rows. Cells outside the current
+// (cap, n) ranges may hold stale values; every consumer loop is bounded
+// by the current caps, so they are never read.
 func (e *substrEntry) computeVertex(led *Ledger, topo *topology.Topology, v topology.NodeID) {
 	node := topo.Node(v)
-	r := &e.recs[v]
+	t, slot := &e.tab, e.frame.slot
+	r := &t.recs[slot[v]]
 	n := e.n
-	if r.optIn == nil {
-		size := (n + 1) * (n + 1)
-		r.n = n
-		r.optIn = make([]float64, size)
-		r.upOcc = make([]float64, size)
-		r.alloc = make([]bool, size)
-	}
+	stride := n + 1
+	optIn := t.optIn[r.off:]
 	if node.IsMachine() {
-		r.maxLen = min(n, led.FreeSlots(v))
-		size := (r.maxLen + 1) * (n + 1)
+		r.cap = min(n, led.FreeSlots(v))
+		size := (r.cap + 1) * stride
 		for i := 0; i < size; i++ {
-			r.optIn[i] = 0
+			optIn[i] = 0
 		}
 	} else {
 		capV := 0
 		for _, c := range node.Children {
-			capV += e.recs[c].maxLen
+			capV += t.recs[slot[c]].cap
 		}
-		r.maxLen = min(n, capV)
-		size := (r.maxLen + 1) * (n + 1)
-		acc, next := e.acc[:size], e.next[:size]
+		r.cap = min(n, capV)
+		size := (r.cap + 1) * stride
+		acc, next := t.acc[:size], t.next[:size]
 		for i := range acc {
 			acc[i] = infeasible
 		}
 		for a := 0; a <= n; a++ {
-			acc[r.idx(0, a)] = 0
-		}
-		if len(r.choice) != len(node.Children) {
-			r.choice = make([][]int32, len(node.Children))
+			acc[a] = 0 // (length 0, a): the empty substring anchored anywhere
 		}
 		reach := 0
-		for i, c := range node.Children {
-			child := &e.recs[c]
-			pick := r.choice[i]
-			if pick == nil {
-				pick = make([]int32, (n+1)*(n+1))
-				r.choice[i] = pick
-			}
+		for _, c := range node.Children {
+			child := &t.recs[slot[c]]
+			cOpt, cUp, cAlloc := t.optIn[child.off:], t.upOcc[child.off:], t.alloc[child.off:]
+			pick := t.choice[child.coff:]
 			for j := range next {
 				next[j] = infeasible
 				pick[j] = -1
 			}
 			for aLen := 0; aLen <= reach; aLen++ {
 				for a := 0; a+aLen <= n; a++ {
-					cur := acc[r.idx(aLen, a)]
+					cur := acc[aLen*stride+a]
 					if cur == infeasible {
 						continue
 					}
 					k := a + aLen
-					maxChildLen := min(child.maxLen, min(r.maxLen-aLen, n-k))
+					maxChildLen := min(child.cap, min(r.cap-aLen, n-k))
 					for cl := 0; cl <= maxChildLen; cl++ {
-						cIdx := child.idx(cl, k)
-						if !child.alloc[cIdx] {
+						cIdx := cl*stride + k
+						if !cAlloc[cIdx] {
 							continue
 						}
-						tIdx := r.idx(aLen+cl, a)
+						tIdx := (aLen+cl)*stride + a
 						val := 0.0
 						if e.policy == MinMaxOccupancy {
-							val = math.Max(cur, math.Max(child.optIn[cIdx], child.upOcc[cIdx]))
+							val = max(cur, max(cOpt[cIdx], cUp[cIdx]))
 						} else if next[tIdx] != infeasible {
 							continue
 						}
@@ -596,31 +724,32 @@ func (e *substrEntry) computeVertex(led *Ledger, topo *topology.Topology, v topo
 				}
 			}
 			acc, next = next, acc
-			reach = min(r.maxLen, reach+child.maxLen)
+			reach = min(r.cap, reach+child.cap)
 		}
-		copy(r.optIn[:size], acc[:size])
+		copy(optIn[:size], acc[:size])
 	}
 
 	isRoot := node.Parent == topology.None
-	for length := 0; length <= r.maxLen; length++ {
+	upOcc, alloc := t.upOcc[r.off:], t.alloc[r.off:]
+	for length := 0; length <= r.cap; length++ {
 		for a := 0; a+length <= n; a++ {
-			i := r.idx(length, a)
-			r.alloc[i] = false
-			if r.optIn[i] == infeasible {
+			i := length*stride + a
+			alloc[i] = false
+			if optIn[i] == infeasible {
 				continue
 			}
 			if isRoot {
-				r.alloc[i] = true
+				alloc[i] = true
 				continue
 			}
-			r.upOcc[i] = led.OccupancyWith(v, e.prefix.crossing(a, a+length))
-			r.alloc[i] = r.upOcc[i] < 1
+			upOcc[i] = led.OccupancyWith(v, e.prefix.crossing(a, a+length))
+			alloc[i] = upOcc[i] < 1
 		}
 	}
 }
 
-// cachedSubstrBuild is substrBuild over the persistent records.
-func cachedSubstrBuild(topo *topology.Topology, records []cachedSubstrRec, order []int,
+// build is substrBuild over the cached table.
+func (e *substrEntry) build(topo *topology.Topology, tab *dpTable, order []int,
 	v topology.NodeID, a, b int, p *Placement) {
 	if a == b {
 		return
@@ -634,13 +763,13 @@ func cachedSubstrBuild(topo *topology.Topology, records []cachedSubstrRec, order
 		p.Entries = append(p.Entries, PlacementEntry{Machine: v, Count: b - a, VMs: vms})
 		return
 	}
-	rec := &records[v]
 	for i := len(node.Children) - 1; i >= 0; i-- {
-		k := int(rec.choice[i][rec.idx(b-a, a)])
+		c := node.Children[i]
+		k := int(tab.choice[tab.recs[e.frame.slot[c]].coff+(b-a)*(e.n+1)+a])
 		if k < 0 {
 			panic(fmt.Sprintf("core: no cached split for child %d of node %d over [%d,%d)", i, v, a, b))
 		}
-		cachedSubstrBuild(topo, records, order, node.Children[i], k, b, p)
+		e.build(topo, tab, order, c, k, b, p)
 		b = k
 	}
 	if b != a {

@@ -266,21 +266,21 @@ func Recover(dir string, topo *topology.Topology, eps float64, mgrOpts []core.Ma
 		return nil, nil, fmt.Errorf("wal: log meta %+v does not match datacenter %+v", got, j.meta)
 	}
 	for _, fr := range frames[1:] {
-		if epoch, ok := decodeEpochRecord(fr.payload); ok {
-			if epoch > j.epoch {
-				j.epoch = epoch
-			}
-			clean = fr.end
-			continue
-		}
-		mut, err := decodeMutation(fr.payload)
+		rec, err := DecodeRecord(fr.payload)
 		if err != nil {
 			// Checksummed but semantically unreadable: stop replay here
 			// and truncate, exactly as for a failed CRC.
 			clean = previousEnd(frames, fr)
 			break
 		}
-		if err := m.Replay(mut); err != nil {
+		if rec.Kind == KindEpoch {
+			if rec.Epoch > j.epoch {
+				j.epoch = rec.Epoch
+			}
+			clean = fr.end
+			continue
+		}
+		if err := m.Replay(rec.Mutation); err != nil {
 			clean = previousEnd(frames, fr)
 			break
 		}
@@ -353,17 +353,17 @@ func (j *Journal) recoverPrevious(topo *topology.Topology, eps float64, want met
 		return nil, fmt.Errorf("wal: log meta %+v does not match datacenter %+v", got, wantGen)
 	}
 	for _, fr := range frames[1:] {
-		if epoch, ok := decodeEpochRecord(fr.payload); ok {
-			if epoch > j.epoch {
-				j.epoch = epoch
-			}
-			continue
-		}
-		mut, err := decodeMutation(fr.payload)
+		rec, err := DecodeRecord(fr.payload)
 		if err != nil {
 			break
 		}
-		if err := m.Replay(mut); err != nil {
+		if rec.Kind == KindEpoch {
+			if rec.Epoch > j.epoch {
+				j.epoch = rec.Epoch
+			}
+			continue
+		}
+		if err := m.Replay(rec.Mutation); err != nil {
 			break
 		}
 	}

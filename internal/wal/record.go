@@ -41,16 +41,6 @@ func encodeEpochRecord(epoch uint64) ([]byte, error) {
 	return json.Marshal(record{Op: epochOp, Epoch: epoch})
 }
 
-// decodeEpochRecord reports whether payload is an epoch record, and its
-// epoch when it is. Replay loops check this before decodeMutation.
-func decodeEpochRecord(payload []byte) (uint64, bool) {
-	var rec record
-	if err := json.Unmarshal(payload, &rec); err != nil || rec.Op != epochOp {
-		return 0, false
-	}
-	return rec.Epoch, true
-}
-
 var opNames = map[core.MutationOp]string{
 	core.OpAlloc:          "alloc",
 	core.OpRelease:        "release",
@@ -129,6 +119,11 @@ func decodeMutation(payload []byte) (core.Mutation, error) {
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return core.Mutation{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
+	return rec.mutation()
+}
+
+// mutation converts a decoded mutation record to a core.Mutation.
+func (rec *record) mutation() (core.Mutation, error) {
 	op, ok := opValues[rec.Op]
 	if !ok {
 		return core.Mutation{}, fmt.Errorf("%w: unknown op %q", ErrCorrupt, rec.Op)

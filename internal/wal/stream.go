@@ -70,13 +70,18 @@ type Record struct {
 	Epoch    uint64        // valid when Kind == KindEpoch
 }
 
-// DecodeRecord parses a non-meta frame payload. Meta frames (the first
-// frame of a log) must be checked with CheckLogMeta instead.
+// DecodeRecord parses a non-meta frame payload with one JSON decode.
+// Meta frames (the first frame of a log) must be checked with
+// CheckLogMeta instead. Recovery replays every frame through it.
 func DecodeRecord(payload []byte) (Record, error) {
-	if epoch, ok := decodeEpochRecord(payload); ok {
-		return Record{Kind: KindEpoch, Epoch: epoch}, nil
+	var rec record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return Record{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	mut, err := decodeMutation(payload)
+	if rec.Op == epochOp {
+		return Record{Kind: KindEpoch, Epoch: rec.Epoch}, nil
+	}
+	mut, err := rec.mutation()
 	if err != nil {
 		return Record{}, err
 	}

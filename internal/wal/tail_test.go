@@ -39,14 +39,14 @@ func applyTailChunk(t *testing.T, m **core.Manager, cur Cursor, chunk TailChunk)
 			t.Fatalf("reset chunk not frame-clean: %v (clean %d of %d)", err, clean, len(chunk.Data))
 		}
 		for _, fr := range frames[1:] {
-			if _, ok := decodeEpochRecord(fr.payload); ok {
-				continue
-			}
-			mut, err := decodeMutation(fr.payload)
+			rec, err := DecodeRecord(fr.payload)
 			if err != nil {
 				t.Fatalf("decode shipped record: %v", err)
 			}
-			if err := (*m).Replay(mut); err != nil {
+			if rec.Kind == KindEpoch {
+				continue
+			}
+			if err := (*m).Replay(rec.Mutation); err != nil {
 				t.Fatalf("replay shipped record: %v", err)
 			}
 		}
@@ -63,14 +63,14 @@ func applyTailChunk(t *testing.T, m **core.Manager, cur Cursor, chunk TailChunk)
 		t.Fatalf("continuation chunk not frame-clean: %v", err)
 	}
 	for _, fr := range frames {
-		if _, ok := decodeEpochRecord(fr.payload); ok {
-			continue
-		}
-		mut, err := decodeMutation(fr.payload)
+		rec, err := DecodeRecord(fr.payload)
 		if err != nil {
 			t.Fatalf("decode shipped record: %v", err)
 		}
-		if err := (*m).Replay(mut); err != nil {
+		if rec.Kind == KindEpoch {
+			continue
+		}
+		if err := (*m).Replay(rec.Mutation); err != nil {
 			t.Fatalf("replay shipped record: %v", err)
 		}
 	}
